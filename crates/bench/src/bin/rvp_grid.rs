@@ -396,16 +396,17 @@ fn main() -> ExitCode {
 
     let start = Instant::now();
 
-    // Pay every workload's trace capture up front, in parallel, so the
-    // cell fan-out below is pure timing simulation (a no-op for the
-    // live source, and skipped for workloads fully restored from the
-    // manifest). A failed prewarm is not fatal: the cell itself will
-    // retry or fall back and report properly.
+    // Pay every workload's trace capture — or, sampled, its sampling
+    // plan and windows — up front, in parallel, so the cell fan-out
+    // below is pure timing simulation (skipped for workloads fully
+    // restored from the manifest; `prewarm_trace` itself is a no-op for
+    // an unsampled live source). A failed prewarm is not fatal: the cell
+    // itself will retry or fall back and report properly.
     let pending: Vec<&Workload> = workloads
         .iter()
         .filter(|wl| cells.iter().any(|c| c.workload.name() == wl.name()))
         .collect();
-    if runner.source_mode != SourceMode::Live && !pending.is_empty() {
+    if !pending.is_empty() {
         let next_wl = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers.min(pending.len()) {
@@ -416,15 +417,20 @@ fn main() -> ExitCode {
                     if let Err(e) = runner.prewarm_trace(wl) {
                         log::warn(
                             "rvp-grid",
-                            "trace prewarm failed",
+                            "prewarm failed",
                             &[("workload", wl.name().into()), ("error", e.to_string().into())],
                         );
                     }
                 });
             }
         });
+        let what = match (&runner.sampling, runner.source_mode) {
+            (Some(_), _) => "sampling plans",
+            (None, SourceMode::Live) => "nothing, live source",
+            (None, _) => "committed traces",
+        };
         println!(
-            "traces prewarmed: {} workloads in {:.2}s",
+            "prewarmed {what}: {} workloads in {:.2}s",
             pending.len(),
             start.elapsed().as_secs_f64()
         );
@@ -471,17 +477,17 @@ fn main() -> ExitCode {
         simulated as f64 / elapsed.as_secs_f64() / 1e6,
     );
     println!("profiles collected: {}", runner.profiles.len());
+    // Printed even when nothing was tallied: a sampled sweep reads no
+    // committed trace, and its "0 captures" is checked.
     let sources = runner.source_counters.snapshot();
-    if !sources.is_empty() {
-        let t = runner.source_counters.total();
-        println!(
-            "committed-stream sources ({}): {} captures, {} shared hits, {} live fallbacks",
-            runner.source_mode.name(),
-            t.captures,
-            t.shared_hits,
-            t.live_fallbacks
-        );
-    }
+    let t = runner.source_counters.total();
+    println!(
+        "committed-stream sources ({}): {} captures, {} shared hits, {} live fallbacks",
+        runner.source_mode.name(),
+        t.captures,
+        t.shared_hits,
+        t.live_fallbacks
+    );
     let quarantined = runner.traces.as_ref().map_or(0, |s| s.counters().quarantined());
     let injected = rvp_fail::snapshot();
     let failures = Json::obj([

@@ -9,7 +9,7 @@ use rvp_json::{Json, ToJson};
 use rvp_obs::log;
 use rvp_profile::{Fig1Row, PlanScope, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
-use rvp_sample::{combine_weighted, SamplePlan, SampleSpec};
+use rvp_sample::{combine_weighted, SamplePlan, SampleSpec, SampleWindow};
 use rvp_trace::{TraceInput, TraceMeta, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
@@ -552,12 +552,12 @@ impl Runner {
     pub fn run(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<RunResult, SimError> {
         self.check_cancel()?;
         let info = scheme.info();
-        let mut program = self.program_for(wl, Input::Ref);
+        let base = self.program_for(wl, Input::Ref);
         let train = self.program_for(wl, Input::Train);
-        if program.len() != train.len() {
+        if base.len() != train.len() {
             return Err(SimError::StructureMismatch {
                 train_len: train.len(),
-                ref_len: program.len(),
+                ref_len: base.len(),
             });
         }
 
@@ -568,13 +568,15 @@ impl Runner {
             Some(p) => Scheme::new(scheme.label().to_owned(), info.scope, p),
             None => Scheme::no_predict(),
         };
-        match info.plan {
-            PlanSource::NoPlan => {}
+        // The program the cell simulates, when the scheme rewrites the
+        // ref program's text.
+        let rewritten = match info.plan {
+            PlanSource::NoPlan => None,
             PlanSource::Static(level) => {
                 let profile = profile.as_ref().expect("profiled");
                 let plan = profile.static_plan(&train, self.threshold, level);
                 // Mark the loads in the program text (`rvp_` opcodes).
-                program = program.map_insts(|pc, inst| {
+                let marked = base.map_insts(|pc, inst| {
                     if plan.contains(pc) {
                         inst.clone().with_rvp()
                     } else {
@@ -582,11 +584,13 @@ impl Runner {
                     }
                 });
                 sim_scheme = sim_scheme.with_plan(plan, PlanMode::Exhaustive);
+                Some(marked)
             }
             PlanSource::Assist(assist) => {
                 let profile = profile.as_ref().expect("profiled");
                 let plan = profile.assist_plan(&train, self.threshold, info.scope, assist);
                 sim_scheme = sim_scheme.with_plan(plan, PlanMode::Overlay);
+                None
             }
             PlanSource::Realloc => {
                 // Actually transform the program; the hardware then runs
@@ -598,17 +602,21 @@ impl Runner {
                     use_dead: true,
                     use_lv: true,
                 };
-                program = reallocate(&program, profile, &opts).program;
+                Some(reallocate(&base, profile, &opts).program)
             }
-        }
+        };
+        let program = rewritten.as_ref().unwrap_or(&base);
 
         let reallocated = info.plan == PlanSource::Realloc;
         let (stats, sampling) = match self.sampling {
             Some(spec) => {
-                let (stats, plan) = self.measure_sampled(wl, &program, sim_scheme, &spec)?;
+                // Marking leaves the committed stream as it is, so only a
+                // reallocated program needs a plan of its own.
+                let stream = if reallocated { program } else { &base };
+                let (stats, plan) = self.measure_sampled(wl, stream, program, sim_scheme, &spec)?;
                 (stats, Some(plan))
             }
-            None => (self.measure(wl, &program, sim_scheme, reallocated)?, None),
+            None => (self.measure(wl, program, sim_scheme, reallocated)?, None),
         };
         Ok(RunResult { workload: wl.name(), scheme: scheme.label().to_owned(), stats, sampling })
     }
@@ -688,43 +696,27 @@ impl Runner {
         }
     }
 
-    /// Runs one *sampled* timing simulation: plan (cached in memory and
-    /// content-addressed on disk next to the trace store), extract the
-    /// representative windows (cached in memory across the workload's
-    /// scheme cells), then per window run functional warmup followed by
-    /// a detailed simulation of just that interval, and reconstruct
-    /// whole-run stats by cluster weight.
+    /// Runs one *sampled* timing simulation: plan and windows from
+    /// [`Runner::sample_windows`] over `stream`, then per window run
+    /// functional warmup of `program` followed by a detailed simulation
+    /// of just that interval, and reconstruct whole-run stats by cluster
+    /// weight.
     ///
-    /// Register-reallocated programs need no special casing here: both
-    /// streaming passes emulate `program` itself, and the plan key
-    /// hashes the program text, so a transformed program gets its own
-    /// plan and windows.
+    /// `stream` is the program whose committed stream the cell
+    /// consumes: the unmarked ref program for every scheme but
+    /// register reallocation, whose transformed `program` is its own
+    /// stream and so gets its own plan and windows.
     fn measure_sampled(
         &self,
         wl: &Workload,
+        stream: &Program,
         program: &Program,
         sim_scheme: Scheme,
         spec: &SampleSpec,
     ) -> Result<(SimStats, Arc<SamplePlan>), SimError> {
         let name = wl.name();
-        let (interval, warmup) = spec.resolve(self.measure_insts);
-        let key = sample_key(
-            name,
-            self.measure_insts,
-            rvp_trace::program_hash(program),
-            interval,
-            warmup,
-            spec,
-        );
         let _span = rvp_obs::span!("runner.measure", { workload: name, source: "sampled" });
-
-        let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
-        let plan = self.samples.plan(key, plan_dir.as_deref(), || {
-            build_plan(name, program, self.measure_insts, interval, warmup, spec, self.cancel.as_ref())
-        })?;
-        let windows = self
-            .samples
-            .windows(key, || extract_plan_windows(&plan, program, self.cancel.as_ref()))?;
+        let (plan, windows) = self.sample_windows(name, stream, spec)?;
 
         let mut parts = Vec::with_capacity(windows.len());
         for w in windows.iter() {
@@ -746,6 +738,43 @@ impl Runner {
             parts.push((w.weight, stats));
         }
         Ok((combine_weighted(plan.total_insts, &parts), plan))
+    }
+
+    /// The sampling plan for `stream`'s committed stream (cached in
+    /// memory and content-addressed on disk next to the trace store) and
+    /// its extracted representative windows (cached in memory), shared
+    /// by every cell that consumes that stream.
+    fn sample_windows(
+        &self,
+        name: &'static str,
+        stream: &Program,
+        spec: &SampleSpec,
+    ) -> Result<(Arc<SamplePlan>, Arc<Vec<SampleWindow>>), SimError> {
+        let (interval, warmup) = spec.resolve(self.measure_insts);
+        let key = sample_key(
+            name,
+            self.measure_insts,
+            rvp_trace::program_hash(stream),
+            interval,
+            warmup,
+            spec,
+        );
+        let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
+        let plan = self.samples.plan(key, plan_dir.as_deref(), || {
+            build_plan(
+                name,
+                stream,
+                self.measure_insts,
+                interval,
+                warmup,
+                spec,
+                self.cancel.as_ref(),
+            )
+        })?;
+        let windows = self
+            .samples
+            .windows(key, || extract_plan_windows(&plan, stream, self.cancel.as_ref()))?;
+        Ok((plan, windows))
     }
 
     /// The shared decoded ref trace for `wl`, materialized on first use
@@ -781,16 +810,26 @@ impl Runner {
         Ok(trace)
     }
 
-    /// Materializes the committed trace serving `wl`'s measurement runs
-    /// ahead of time, so a grid can pay all captures up front before
-    /// fanning cells out to threads. A no-op in [`SourceMode::Live`].
+    /// Materializes what `wl`'s measurement runs read ahead of time, so
+    /// a grid can pay it up front before fanning cells out to threads.
+    ///
+    /// A sampled runner ([`Runner::sampling`]) builds the sampling plan
+    /// and extracted windows of the unmarked ref program — the ones every
+    /// cell but register reallocation reads — whatever the source mode,
+    /// and captures no committed trace: sampled cells never read one.
+    /// Otherwise it materializes the committed trace per
+    /// [`Runner::source_mode`], a no-op in [`SourceMode::Live`].
     ///
     /// # Errors
     ///
-    /// Propagates emulator errors from a live capture. (A replay-mode
-    /// store failure is *not* an error: measurement will fall back to
-    /// live emulation.)
+    /// Propagates emulator errors from a live capture or a plan's
+    /// streaming passes. (A replay-mode store failure is *not* an error:
+    /// measurement will fall back to live emulation.)
     pub fn prewarm_trace(&self, wl: &Workload) -> Result<(), SimError> {
+        if let Some(spec) = &self.sampling {
+            let base = self.program_for(wl, Input::Ref);
+            return self.sample_windows(wl.name(), &base, spec).map(drop);
+        }
         match self.source_mode {
             SourceMode::Live => Ok(()),
             SourceMode::Shared => self.shared_ref_trace(wl).map(drop),
@@ -1089,7 +1128,8 @@ mod tests {
 
     /// Sampled cells reconstruct a CPI stack that still sums to the
     /// cycle count, and the plan/window memos are shared across scheme
-    /// cells of a workload.
+    /// cells of a workload — static marking included, since it leaves
+    /// the committed stream as it is.
     #[test]
     fn sampled_cells_share_one_plan_per_workload() {
         let r = Runner {
@@ -1099,10 +1139,19 @@ mod tests {
         let wl = by_name("li").unwrap();
         let a = r.run(&wl, &spec("no_predict")).unwrap();
         let b = r.run(&wl, &spec("drvp_all")).unwrap();
+        let same = r.run(&wl, &spec("srvp_same")).unwrap();
+        let dead = r.run(&wl, &spec("srvp_dead")).unwrap();
         assert_eq!(a.sampling, b.sampling, "scheme cells must share the workload's plan");
+        for marked in [&same, &dead] {
+            assert_eq!(
+                a.sampling, marked.sampling,
+                "{}: marking must reuse the plan",
+                marked.scheme
+            );
+        }
         assert_eq!(r.samples.plans_len(), 1);
         assert_eq!(r.samples.windows_len(), 1);
-        for res in [&a, &b] {
+        for res in [&a, &b, &same, &dead] {
             let s = &res.stats;
             let stack = s.cpi.base
                 + s.cpi.reissue
@@ -1118,6 +1167,35 @@ mod tests {
         // its own plan under a distinct content key.
         r.run(&wl, &spec("drvp_all_realloc")).unwrap();
         assert_eq!(r.samples.plans_len(), 2);
+        assert_eq!(r.samples.windows_len(), 2);
+    }
+
+    /// A sampled runner's prewarm builds the plan and windows its cells
+    /// read and captures no committed trace; a cell run afterwards is
+    /// the same as on a cold runner.
+    #[test]
+    fn sampled_prewarm_builds_the_plan_instead_of_a_trace() {
+        let sampled = || Runner {
+            sampling: Some(SampleSpec { interval_insts: 20_000, ..SampleSpec::default() }),
+            traces: None,
+            ..quick_runner()
+        };
+        let wl = by_name("m88ksim").unwrap();
+        let warm = sampled();
+        warm.prewarm_trace(&wl).unwrap();
+        assert!(warm.shared_traces.is_empty(), "sampled prewarm must capture no trace");
+        assert_eq!(warm.source_counters.total().captures, 0);
+        assert_eq!(warm.samples.plans_len(), 1);
+        assert_eq!(warm.samples.windows_len(), 1);
+
+        for scheme in [spec("no_predict"), spec("srvp_dead")] {
+            let got = warm.run(&wl, &scheme).unwrap();
+            let want = sampled().run(&wl, &scheme).unwrap();
+            assert_eq!(got.stats, want.stats, "{}", scheme.label());
+            assert_eq!(got.sampling, want.sampling, "{}", scheme.label());
+        }
+        assert_eq!(warm.samples.plans_len(), 1, "cells must read the prewarmed plan");
+        assert!(warm.shared_traces.is_empty());
     }
 
     /// The sampling plan is persisted content-addressed next to the

@@ -3,11 +3,11 @@
 //! The [`rvp_sample`] crate owns the methodology (BBV profiling,
 //! clustering, window extraction, weighted reconstruction); this module
 //! owns the *caching*: a sampling plan is a pure function of
-//! (program, budget, [`SampleSpec`]), so it is memoized in memory across
-//! the scheme cells of a grid — every cell of a workload column shares
-//! one plan and one set of extracted windows — and persisted
-//! content-addressed next to the trace store, so re-running a sweep
-//! skips the profiling pass entirely.
+//! (committed stream, budget, [`SampleSpec`]), so it is memoized in
+//! memory across the scheme cells of a grid — every cell of a workload
+//! column shares one plan and one set of extracted windows, static-RVP
+//! cells included — and persisted content-addressed next to the trace
+//! store, so re-running a sweep skips the profiling pass entirely.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,9 +22,13 @@ use rvp_sample::{extract_windows, BbvConfig, BbvProfiler, SamplePlan, SampleSpec
 use rvp_uarch::SimError;
 
 /// Content key for a sampling plan (and the windows extracted under
-/// it): everything the plan is a function of, hashed. The program hash
+/// it): everything the plan is a function of, hashed. `program_hash` is
+/// the hash of the program that defines the committed stream, so it
 /// covers the workload, input, scale factor *and* any register
-/// reallocation; the resolved interval/warmup cover the auto knobs.
+/// reallocation. Static marking is left out of it — the runner hashes
+/// the unmarked program for a marked cell — because `rvp_` opcodes do
+/// not change the committed stream. The resolved interval/warmup cover
+/// the auto knobs.
 pub(crate) fn sample_key(
     workload: &str,
     budget: u64,
@@ -43,11 +47,13 @@ pub(crate) fn sample_key(
 type PlanSlot = Arc<Mutex<Option<Arc<SamplePlan>>>>;
 type WindowSlot = Arc<Mutex<Option<Arc<Vec<SampleWindow>>>>>;
 
-/// Thread-safe memos of sampling plans and extracted windows, shared by
-/// clones of a [`crate::Runner`] exactly like its profile and trace
-/// caches: entries are locked individually, so grid threads racing on
-/// the same workload profile it once while different workloads proceed
-/// in parallel.
+/// Thread-safe memos of sampling plans and extracted windows, keyed by
+/// `sample_key` and shared by clones of a [`crate::Runner`] exactly
+/// like its profile and trace caches: entries are locked individually,
+/// so grid threads racing on the same workload profile it once while
+/// different workloads proceed in parallel. One entry serves every cell
+/// of a workload that reads the unmarked ref stream, and a sampled
+/// `Runner::prewarm_trace` fills it before the cells run.
 #[derive(Clone, Default)]
 pub struct SamplingCaches {
     plans: Arc<Mutex<HashMap<u64, PlanSlot>>>,

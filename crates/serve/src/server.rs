@@ -682,8 +682,7 @@ fn route(inner: &Arc<Inner>, request: &Request, stream: &TcpStream) -> Routed {
             let _ = std::thread::Builder::new()
                 .name("serve-drain".to_owned())
                 .spawn(move || drain(&drainer));
-            let body =
-                Json::obj([("draining", true.into()), ("window_secs", window.into())]);
+            let body = Json::obj([("draining", true.into()), ("window_secs", window.into())]);
             (202, Vec::new(), Body::Json(body))
         }
         ("GET", "/metrics") => {
@@ -810,7 +809,8 @@ fn sweep_endpoint(inner: &Arc<Inner>, request: &Request, stream: &TcpStream) -> 
             return (429, vec![("Retry-After", retry.to_string())], Body::Json(body));
         }
         Err(SubmitError::Draining) => {
-            let body = Json::obj([("error", "draining; retry against the restarted daemon".into())]);
+            let body =
+                Json::obj([("error", "draining; retry against the restarted daemon".into())]);
             return (503, vec![("Retry-After", "5".to_owned())], Body::Json(body));
         }
         Err(SubmitError::Cache(e)) => {

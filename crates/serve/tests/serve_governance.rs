@@ -171,7 +171,8 @@ fn overload_shedding_rejects_with_429_before_the_queue_cap() {
     // Seed the queue-delay EWMA: a burst, then a pause so the single
     // worker dequeues a few cells that waited measurably.
     for i in 0..10 {
-        let r = request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.5 + i as f64 * 1e-4, false)));
+        let r =
+            request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.5 + i as f64 * 1e-4, false)));
         assert!(r.status == 202, "seed burst admitted, got {}", r.status);
     }
     std::thread::sleep(Duration::from_millis(500));
@@ -179,7 +180,8 @@ fn overload_shedding_rejects_with_429_before_the_queue_cap() {
     // Keep flooding: well before the 1000-cell cap, the governor sheds.
     let mut shed = None;
     for i in 10..200 {
-        let r = request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.5 + i as f64 * 1e-4, false)));
+        let r =
+            request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.5 + i as f64 * 1e-4, false)));
         if r.status == 429 {
             shed = Some(r);
             break;
@@ -198,8 +200,7 @@ fn overload_shedding_rejects_with_429_before_the_queue_cap() {
 #[test]
 fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
     let dir = TempDir::new("drain");
-    let args =
-        ["--workers", "2", "--max-queue", "4000", "--drain-secs", "1", "--retries", "1"];
+    let args = ["--workers", "2", "--max-queue", "4000", "--drain-secs", "1", "--retries", "1"];
     let mut daemon = Daemon::spawn(dir.path(), &args, &[]);
     wait_for("readiness", Duration::from_secs(30), || {
         request(daemon.addr, "GET", "/readyz", None).status == 200

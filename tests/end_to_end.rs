@@ -3,6 +3,7 @@
 
 use rvp_core::{
     reallocate, Emulator, Input, Profile, ProfileConfig, ReallocOptions, Runner, SchemeSpec,
+    SrvpLevel,
 };
 
 fn quick_runner() -> Runner {
@@ -128,6 +129,48 @@ fn static_marking_is_visible_in_the_disassembly() {
     let marked =
         train.map_insts(|pc, i| if plan.contains(pc) { i.clone().with_rvp() } else { i.clone() });
     assert!(marked.disassemble().contains("rvp_ld"));
+}
+
+/// Static marking leaves the committed stream as it is: at every static
+/// RVP level, the marked ref program commits the same records as the
+/// unmarked one. Sampled cells rest on this — a marked cell reads the
+/// sampling plan and windows of the unmarked program.
+#[test]
+fn static_marking_leaves_the_committed_stream_unchanged() {
+    const RECORDS: usize = 200_000;
+    let runner = quick_runner();
+    let stream = |program: &rvp_core::Program| {
+        let mut emu = Emulator::new(program);
+        let mut records = Vec::with_capacity(RECORDS);
+        while records.len() < RECORDS {
+            match emu.step().unwrap() {
+                Some(rec) => records.push(rec),
+                None => break,
+            }
+        }
+        records
+    };
+    for name in ["m88ksim", "li"] {
+        let wl = rvp_core::by_name(name).unwrap();
+        let train = runner.program_for(&wl, Input::Train);
+        let base = runner.program_for(&wl, Input::Ref);
+        let profile = runner.train_profile(&wl).unwrap();
+        let want = stream(&base);
+        assert_eq!(want.len(), RECORDS, "{name}: ref run ends early");
+        // A level may mark nothing (m88ksim has no same-register
+        // candidates); every workload must mark something at some level.
+        let mut marked_loads = 0;
+        for level in [SrvpLevel::Same, SrvpLevel::Dead, SrvpLevel::Live, SrvpLevel::LiveLv] {
+            let plan = profile.static_plan(&train, runner.threshold, level);
+            marked_loads += plan.len();
+            let marked =
+                base.map_insts(
+                    |pc, i| if plan.contains(pc) { i.clone().with_rvp() } else { i.clone() },
+                );
+            assert!(stream(&marked) == want, "{name}/{level:?}: marking changed the stream");
+        }
+        assert!(marked_loads > 0, "{name}: no level marks a load");
+    }
 }
 
 /// The 16-wide machine amplifies value prediction (Figure 8's point).
